@@ -37,9 +37,7 @@ import (
 	"strconv"
 	"strings"
 
-	"pair/internal/faults"
-	"pair/internal/memsim"
-	"pair/internal/schemes"
+	"pair"
 )
 
 // Result is one parsed benchmark line.
@@ -94,22 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	count := fs.Int("count", 1, "value for go test -count")
 	compare := fs.String("compare", "", "baseline BENCH_<n>.json: gate this run against it instead of recording")
 	threshold := fs.Float64("threshold", 2.0, "with -compare, fail when ns/op exceeds threshold x the baseline")
-	listSchs := fs.Bool("list-schemes", false, "list the scheme registry behind the Scheme* benchmarks, then exit")
-	listFaults := fs.Bool("list-faults", false, "list the fault-scenario registry behind the campaign benchmarks, then exit")
-	listProfs := fs.Bool("list-profiles", false, "list the memory-profile registry behind the simulator benchmarks, then exit")
+	listed := pair.ListFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
-		return 0
-	}
-	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
-		return 0
-	}
-	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+	if listed(stdout) {
 		return 0
 	}
 

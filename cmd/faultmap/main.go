@@ -33,10 +33,10 @@ import (
 	"os"
 	"strings"
 
+	"pair"
 	"pair/internal/core"
 	"pair/internal/dram"
 	"pair/internal/faults"
-	"pair/internal/memsim"
 	"pair/internal/schemes"
 )
 
@@ -53,25 +53,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		kind     = fs.String("fault", "pin", "cell|pin|lane|beat|word|pin-burst|beat-burst")
 		blen     = fs.Int("len", 4, "burst length for *-burst faults")
 		seed     = fs.Int64("seed", 1, "RNG seed")
-		spec       = fs.String("scheme", "pair", "scheme spec, name[@org][:key=val,...], selecting the organization shown")
-		listSchs   = fs.Bool("list-schemes", false, "list registered schemes, spec grammar, organizations and sets, then exit")
-		scenario   = fs.String("faults", "", "fault scenario spec (name[:key=val,...] or compose(...)): render a rank-wide scenario map instead of a single-chip -fault")
-		listFaults = fs.Bool("list-faults", false, "list registered fault scenarios, the spec grammar and options, then exit")
-		listProfs  = fs.Bool("list-profiles", false, "list registered memory profiles (the timing simulator's -profile specs), then exit")
+		spec     = fs.String("scheme", "pair", "scheme spec, name[@org][:key=val,...], selecting the organization shown")
+		scenario = fs.String("faults", "", "fault scenario spec (name[:key=val,...] or compose(...)): render a rank-wide scenario map instead of a single-chip -fault")
 	)
+	listed := pair.ListFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
-		return 0
-	}
-	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
-		return 0
-	}
-	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+	if listed(stdout) {
 		return 0
 	}
 

@@ -45,24 +45,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		window     = fs.Int("window", 0, "override the trace's MLP window")
 		checkFlag  = fs.Bool("check", false, "audit the run against the JEDEC timing constraints; violations exit nonzero")
 		cmdtrace   = fs.String("cmdtrace", "", "write the DRAM command trace to this file (- for stdout)")
-		listSchs   = fs.Bool("list-schemes", false, "list registered schemes, spec grammar, organizations and sets, then exit")
-		listFaults = fs.Bool("list-faults", false, "list registered fault scenarios (the reliability campaigns' -faults specs), then exit")
 		profSpec   = fs.String("profile", "", "memory profile spec, name[:key=val,...] (default: the scheme org on DDR4-2400 timing; see -list-profiles)")
-		listProfs  = fs.Bool("list-profiles", false, "list registered memory profiles, the spec grammar and options, then exit")
 	)
+	listed := pair.ListFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *listSchs {
-		fmt.Fprint(stdout, pair.SchemeSpecHelp())
-		return 0
-	}
-	if *listFaults {
-		fmt.Fprint(stdout, pair.FaultSpecHelp())
-		return 0
-	}
-	if *listProfs {
-		fmt.Fprint(stdout, pair.ProfileSpecHelp())
+	if listed(stdout) {
 		return 0
 	}
 	var profile *memsim.Profile

@@ -42,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	"pair"
 	"pair/internal/campaign"
 	"pair/internal/ecc"
 	"pair/internal/experiments"
@@ -97,16 +98,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		checkFlag  = fs.Bool("check", false, "attach the JEDEC protocol checker to every timing simulation; any violation fails the run")
 		cmdtrace   = fs.String("cmdtrace", "", "write the DRAM command trace of every timing simulation to this file (- for stdout)")
 		schemeList = fs.String("schemes", "", "comma/space-separated scheme specs (name[@org][:key=val,...]) overriding the default set of set-driven experiments")
-		listSchs   = fs.Bool("list-schemes", false, "list registered schemes, spec grammar, organizations and sets, then exit")
 		faultList  = fs.String("faults", "", "comma/space-separated fault scenario specs (name[:key=val,...] or compose(...)): the f13 roster, and an ambient fault layer for f1/f2/f1f2/t2/t2x")
-		listFaults = fs.Bool("list-faults", false, "list registered fault scenarios, the spec grammar and options, then exit")
 		profSpec   = fs.String("profile", "ddr5-4800", "memory profile spec, name[:key=val,...], for the profile columns of f4/f5 and the f14 traffic experiment")
-		listProfs  = fs.Bool("list-profiles", false, "list registered memory profiles, the spec grammar and options, then exit")
 		retries    = fs.Int("retries", 1, "extra attempts for a shard whose function panics, errors, or times out (0 disables)")
 		shardTO    = fs.Duration("shard-timeout", 0, "watchdog: abandon and retry a shard running longer than this (0 disables)")
 		salvage    = fs.Bool("salvage", false, "with -resume: recover every intact shard from a corrupted or truncated checkpoint instead of aborting")
 		fleetURL   = fs.String("fleet", "", "submit campaigns to a pairserve coordinator at this URL instead of running locally (f13 only; checkpoints live on the coordinator)")
 	)
+	listed := pair.ListFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -132,16 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, listText)
 		return 0
 	}
-	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
-		return 0
-	}
-	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
-		return 0
-	}
-	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+	if listed(stdout) {
 		return 0
 	}
 	profile, err := memsim.NewProfile(*profSpec)

@@ -21,9 +21,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"pair/internal/faults"
-	"pair/internal/memsim"
-	"pair/internal/schemes"
+	"pair"
 	"pair/internal/trace"
 )
 
@@ -46,26 +44,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		masked   = fs.Float64("masked", 0.2, "masked fraction of writes")
 		window   = fs.Int("window", 8, "MLP window hint (emitted as a header comment)")
 		seed     = fs.Int64("seed", 1, "generator seed")
-		listSchs   = fs.Bool("list-schemes", false, "list the scheme registry the traces feed into (memrun/pairsim specs), then exit")
-		listFaults = fs.Bool("list-faults", false, "list the fault-scenario registry the reliability campaigns inject (pairsim -faults specs), then exit")
-		listProfs  = fs.Bool("list-profiles", false, "list the memory-profile registry the traces replay on (memrun/pairsim -profile specs), then exit")
-		arrival    = fs.String("arrival", "", "open-loop traffic mode: arrival process (poisson|bursty|diurnal); replaces -pattern")
-		load       = fs.Float64("load", 0.1, "with -arrival: offered load in requests per cycle")
-		users      = fs.Int("users", 32, "with -arrival: concurrent request sources (the MLP window)")
+		arrival  = fs.String("arrival", "", "open-loop traffic mode: arrival process (poisson|bursty|diurnal); replaces -pattern")
+		load     = fs.Float64("load", 0.1, "with -arrival: offered load in requests per cycle")
+		users    = fs.Int("users", 32, "with -arrival: concurrent request sources (the MLP window)")
 	)
+	listed := pair.ListFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
-		return 0
-	}
-	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
-		return 0
-	}
-	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+	if listed(stdout) {
 		return 0
 	}
 

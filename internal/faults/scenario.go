@@ -12,11 +12,11 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"pair/internal/bitvec"
 	"pair/internal/dram"
+	"pair/internal/spec"
 )
 
 // ChipAccess is a scenario's view of one chip's contribution to a
@@ -99,109 +99,33 @@ type ScenarioEntry struct {
 	Description string
 	// Options documents the option keys the hook accepts; specs using
 	// any other key are rejected before the hook runs.
-	Options []OptionDoc
+	Options []spec.OptionDoc
 	// New builds the injector from the spec's validated options.
 	New func(opts map[string]string) (InjectFunc, error)
 }
 
-// OptionDoc documents one option key a scenario's constructor accepts.
-type OptionDoc struct {
-	Key string
-	Doc string
-}
-
-// optionKeys returns the documented option keys.
-func (e *ScenarioEntry) optionKeys() []string {
-	keys := make([]string, len(e.Options))
-	for i, o := range e.Options {
-		keys[i] = o.Key
-	}
-	return keys
-}
-
-var (
-	scenarioRegistry = map[string]*ScenarioEntry{}
-	scenarioOrder    []string // registration (presentation) order
-)
+// registry holds the scenarios; scenario specs may compose but never
+// name an organization.
+var registry = spec.Registry[*ScenarioEntry]{Pkg: "faults", Kind: "scenario", Compose: true}
 
 // RegisterScenario adds a scenario to the registry. It panics on a
 // duplicate or malformed entry — registration happens in init functions,
-// where a panic is a build-time error. IDs must stay inside the spec
-// grammar's name alphabet (lowercase letters, digits, '-') so every
-// registered scenario remains addressable by spec.
+// where a panic is a build-time error.
 func RegisterScenario(e ScenarioEntry) {
-	if e.ID == "" || e.New == nil {
-		panic("faults: scenario entry needs an ID and a constructor")
+	if e.New == nil {
+		panic(fmt.Sprintf("faults: scenario %q needs a constructor", e.ID))
 	}
-	if e.ID == composeID {
-		panic(fmt.Sprintf("faults: scenario ID %q is reserved by the spec grammar", composeID))
-	}
-	for _, r := range e.ID {
-		if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' {
-			panic(fmt.Sprintf("faults: scenario ID %q outside the spec name alphabet [a-z0-9-]", e.ID))
-		}
-	}
-	if _, dup := scenarioRegistry[e.ID]; dup {
-		panic(fmt.Sprintf("faults: duplicate scenario %q", e.ID))
-	}
-	cp := e
-	scenarioRegistry[e.ID] = &cp
-	scenarioOrder = append(scenarioOrder, e.ID)
+	registry.Register(e.ID, e.Options, &e)
 }
 
 // LookupScenario returns the entry registered under id.
-func LookupScenario(id string) (*ScenarioEntry, bool) {
-	e, ok := scenarioRegistry[id]
-	return e, ok
-}
+func LookupScenario(id string) (*ScenarioEntry, bool) { return registry.Lookup(id) }
 
 // ScenarioIDs returns every registered scenario ID in registration order.
-func ScenarioIDs() []string {
-	return append([]string(nil), scenarioOrder...)
-}
+func ScenarioIDs() []string { return registry.IDs() }
 
 // AllScenarios returns every registered entry in registration order.
-func AllScenarios() []*ScenarioEntry {
-	out := make([]*ScenarioEntry, len(scenarioOrder))
-	for i, id := range scenarioOrder {
-		out[i] = scenarioRegistry[id]
-	}
-	return out
-}
-
-// unknownScenarioError builds the error for an unregistered scenario ID;
-// the valid-ID list is generated from the registry so it cannot drift.
-func unknownScenarioError(id string) error {
-	return fmt.Errorf("faults: unknown scenario %q (valid: %s)", id, strings.Join(scenarioOrder, "|"))
-}
-
-// validateScenarioOptions checks that every option key of a spec is
-// documented by the entry.
-func validateScenarioOptions(e *ScenarioEntry, opts map[string]string) error {
-	if len(opts) == 0 {
-		return nil
-	}
-	allowed := map[string]bool{}
-	for _, k := range e.optionKeys() {
-		allowed[k] = true
-	}
-	var bad []string
-	for k := range opts {
-		if !allowed[k] {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	keys := e.optionKeys()
-	if len(keys) == 0 {
-		return fmt.Errorf("faults: scenario %q takes no options, got %s", e.ID, strings.Join(bad, ","))
-	}
-	return fmt.Errorf("faults: scenario %q does not accept option(s) %s (valid: %s)",
-		e.ID, strings.Join(bad, ","), strings.Join(keys, "|"))
-}
+func AllScenarios() []*ScenarioEntry { return registry.All() }
 
 // scenarioFunc is the Scenario implementation every registry build
 // returns: a canonical spec string plus the constructor's injector.
@@ -227,15 +151,17 @@ func Compose(scs ...Scenario) Scenario {
 	case 1:
 		return scs[0]
 	}
-	spec := composeID + "("
+	return composed(scs)
+}
+
+// composed injects every scenario in order under the spec
+// compose(spec,spec,...).
+func composed(scs []Scenario) Scenario {
+	parts := make([]string, len(scs))
 	for i, sc := range scs {
-		if i > 0 {
-			spec += ","
-		}
-		spec += sc.Spec()
+		parts[i] = sc.Spec()
 	}
-	spec += ")"
-	return &scenarioFunc{spec: spec, inject: func(rng *rand.Rand, access []ChipAccess) int {
+	return &scenarioFunc{spec: spec.Compose + "(" + strings.Join(parts, ",") + ")", inject: func(rng *rand.Rand, access []ChipAccess) int {
 		n := 0
 		for _, sc := range scs {
 			n += sc.Inject(rng, access)

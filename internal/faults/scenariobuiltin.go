@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"pair/internal/dram"
+	"pair/internal/spec"
 )
 
 // Builtin fault scenarios. Each mirrors the physical reach the
@@ -20,7 +21,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "inherent",
 		Description: "process-scaling weak cells: every stored bit of every chip flips independently at a bit-error rate",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "ber", Doc: "per-bit flip probability in [0,1] (default 1e-4)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -41,7 +42,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "retention",
 		Description: "retention-failure population: rare weak-cell seeds that fail in clusters along adjacent bit positions",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "pop", Doc: "expected failed-cell fraction in [0,1] (default 1e-4)"},
 			{Key: "cluster", Doc: "mean cluster size >= 1 spread along adjacent pins (default 2)"},
 		},
@@ -68,7 +69,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "vrt",
 		Description: "variable retention time: one random stored cell of one chip flickers, flipping with the given probability",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "flicker", Doc: "per-access flip probability of the weak cell, in [0,1] (default 0.2)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -91,7 +92,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "rowhammer",
 		Description: "row-hammer disturbance: victim cells clustered around an aggressor wordline position on one chip",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "radius", Doc: "pin distance from the aggressor position that can flip, >= 0 (default 1)"},
 			{Key: "rate", Doc: "per-cell flip probability inside the radius, in (0,1] (default 0.25)"},
 		},
@@ -117,7 +118,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "cell",
 		Description: "hard cell faults: exactly n distinct random stored bits of one chip flip",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "n", Doc: "number of distinct flipped cells, >= 1 (default 1)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -151,7 +152,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "pinburst",
 		Description: "burst error along one pin's serial line: b consecutive beats flip on one pin of one chip",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "b", Doc: "burst length in beats, >= 1 (default 4)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -169,7 +170,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "beatburst",
 		Description: "burst error across the bus width (crosstalk): one beat flips on b consecutive pins of one chip",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "b", Doc: "burst length in pins, >= 1 (default 2)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -214,7 +215,7 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "chipkill",
 		Description: "whole-chip failure: every stored bit of k distinct chips randomized (data, on-die and transferred redundancy)",
-		Options: []OptionDoc{
+		Options: []spec.OptionDoc{
 			{Key: "chips", Doc: "number of simultaneously failing chips, >= 1 (default 1)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {

@@ -19,14 +19,6 @@ func ListFaultsText() string {
 	}
 
 	b.WriteString("\noptions\n")
-	for _, e := range AllScenarios() {
-		if len(e.Options) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %s:\n", e.ID)
-		for _, o := range e.Options {
-			fmt.Fprintf(&b, "    %-8s %s\n", o.Key, o.Doc)
-		}
-	}
+	registry.WriteOptions(&b)
 	return b.String()
 }

@@ -3,6 +3,8 @@ package faults
 import (
 	"strings"
 	"testing"
+
+	"pair/internal/spec"
 )
 
 // TestParseFaultSpecCanonical pins the canonical form of representative
@@ -171,7 +173,7 @@ func TestComposeProgrammatic(t *testing.T) {
 // every registered scenario and every documented option key must appear.
 func TestListFaultsTextMentionsEverything(t *testing.T) {
 	text := ListFaultsText()
-	if !strings.Contains(text, composeID+"(") {
+	if !strings.Contains(text, spec.Compose+"(") {
 		t.Fatal("ListFaultsText missing the compose combinator")
 	}
 	for _, e := range AllScenarios() {

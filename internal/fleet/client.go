@@ -228,7 +228,9 @@ func (c *Client) Watch(ctx context.Context, id string, onEvent func(Event)) erro
 			return nil
 		}
 		if ctx.Err() != nil {
-			return err
+			// The caller cancelled; whatever ended the stream meanwhile
+			// is not a failure of the watch.
+			return ctx.Err()
 		}
 		var pe *permanentError
 		if errors.As(err, &pe) {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -276,4 +277,44 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// roundTripFunc serves requests from a function, without a network or
+// any watch on the request context.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestWatchCancelledDuringDroppedStream pins Watch's cancel contract at
+// the exact interleaving that used to leak the stream error: the caller
+// cancels from onEvent, then the stream ends before the job finished.
+// The canned transport ignores the context, so the drop is always seen
+// after the cancel and Watch must report ctx.Err(), not the drop.
+func TestWatchCancelledDuringDroppedStream(t *testing.T) {
+	streams := 0
+	opts := fastClientOptions()
+	opts.HTTP = &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		streams++
+		return &http.Response{
+			StatusCode: http.StatusOK,
+			Header:     http.Header{"Content-Type": {"text/event-stream"}},
+			Body:       io.NopCloser(strings.NewReader("id: 1\nevent: progress\ndata: {}\n\n")),
+			Request:    r,
+		}, nil
+	})}
+	client := NewClientWith("http://coordinator.invalid", opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var events []string
+	err := client.Watch(ctx, "j1", func(ev Event) {
+		events = append(events, ev.Name)
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Watch after cancel = %v, want context.Canceled", err)
+	}
+	if streams != 1 || len(events) != 1 || events[0] != "progress" {
+		t.Fatalf("streams %d, events %v; want one stream delivering one progress event", streams, events)
+	}
 }

@@ -2,10 +2,10 @@ package memsim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pair/internal/dram"
+	"pair/internal/spec"
 )
 
 // PagePolicy selects the controller's row-buffer management policy.
@@ -157,48 +157,25 @@ type ProfileEntry struct {
 	New         func() Profile
 }
 
-var profileReg []ProfileEntry
+// profiles holds the memory profiles; profile specs neither name an
+// organization nor compose.
+var profiles = spec.Registry[ProfileEntry]{Pkg: "memsim", Kind: "profile"}
 
 // RegisterProfile adds a profile to the registry; duplicate IDs panic
-// (registration is an init-time programming error).
+// (registration is an init-time programming error). Listings follow
+// registration order; the builtins register in ID order.
 func RegisterProfile(e ProfileEntry) {
-	if e.ID == "" || e.New == nil {
-		panic("memsim: RegisterProfile: empty ID or nil constructor")
+	if e.New == nil {
+		panic(fmt.Sprintf("memsim: profile %q needs a constructor", e.ID))
 	}
-	for _, p := range profileReg {
-		if p.ID == e.ID {
-			panic("memsim: duplicate profile " + e.ID)
-		}
-	}
-	profileReg = append(profileReg, e)
-	sort.Slice(profileReg, func(i, j int) bool { return profileReg[i].ID < profileReg[j].ID })
-}
-
-// ProfileEntries returns the registered profiles, sorted by ID.
-func ProfileEntries() []ProfileEntry {
-	out := make([]ProfileEntry, len(profileReg))
-	copy(out, profileReg)
-	return out
+	profiles.Register(e.ID, profileOptionDocs, e)
 }
 
 // LookupProfile finds a registered profile by ID.
-func LookupProfile(id string) (ProfileEntry, bool) {
-	for _, e := range profileReg {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return ProfileEntry{}, false
-}
+func LookupProfile(id string) (ProfileEntry, bool) { return profiles.Lookup(id) }
 
-// ProfileIDs returns the registered profile IDs, sorted.
-func ProfileIDs() []string {
-	ids := make([]string, len(profileReg))
-	for i, e := range profileReg {
-		ids[i] = e.ID
-	}
-	return ids
-}
+// ProfileIDs returns the registered profile IDs in registration order.
+func ProfileIDs() []string { return profiles.IDs() }
 
 func init() {
 	RegisterProfile(ProfileEntry{
@@ -260,14 +237,14 @@ func ListProfilesText() string {
 	b.WriteString("profile spec grammar: name[:key=val,...]   e.g. ddr5-4800:channels=2,policy=closed\n\n")
 
 	b.WriteString("profiles\n")
-	for _, e := range ProfileEntries() {
+	for _, e := range profiles.All() {
 		fmt.Fprintf(&b, "  %-12s %s\n", e.ID, e.Description)
 	}
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "%-12s %-9s %-6s %-6s %-10s %-7s %-9s %s\n",
 		"profile", "ns/cycle", "BL", "buses", "refresh", "policy", "banks", "CL/tRCD/tRP/tRFC")
-	for _, e := range ProfileEntries() {
+	for _, e := range profiles.All() {
 		p := e.New()
 		trfc := p.Timing.TRFC
 		if p.Refresh == RefreshSameBank {
@@ -280,8 +257,8 @@ func ListProfilesText() string {
 	}
 
 	b.WriteString("\noptions\n")
-	b.WriteString("  policy    open|closed — row-buffer management (closed auto-precharges after every access)\n")
-	b.WriteString("  channels  1..16 — independent channels; cache lines interleave across channels x subchannels\n")
-	b.WriteString("  refresh   all-bank|same-bank — REFab blackout vs staggered per-bank REFsb windows\n")
+	for _, o := range profileOptions {
+		fmt.Fprintf(&b, "  %-9s %s\n", o.Key, o.Doc)
+	}
 	return b.String()
 }

@@ -1,152 +1,103 @@
 package memsim
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
+
+	"pair/internal/spec"
 )
 
-// Profile spec grammar, with the same canonical-form discipline as
-// schemes.ParseSpec and faults.ParseFaultSpec:
+// Profile specs use the shared grammar of package spec, without @org or
+// compose:
 //
 //	name[:key=val,...]
 //
-// where name is a registered profile ID and the options override the
-// builtin defaults. Examples:
+// where name is a registered profile ID and the options (profileOptions)
+// override the builtin defaults. Examples:
 //
 //	ddr4-2400
 //	ddr5-4800:policy=closed,channels=2
 //	lpddr5-6400:refresh=all-bank
 //
-// The canonical form (ProfileSpec.String) sorts option keys and keeps the
-// raw option values; parsing the canonical form reproduces the spec
-// exactly, so experiment labels embedding a spec stay stable.
+// The canonical form sorts option keys and keeps the raw option values;
+// parsing the canonical form reproduces the spec exactly, so experiment
+// labels embedding a spec stay stable.
 
-// ProfileSpec is a parsed profile spec: a registered profile ID plus
-// key=val overrides.
-type ProfileSpec struct {
-	ID      string
-	Options map[string]string
-}
-
-// ParseProfileSpec parses the profile spec grammar. It only validates the
-// syntax; Build resolves the ID and options against the registry.
-func ParseProfileSpec(spec string) (ProfileSpec, error) {
-	s := ProfileSpec{}
-	head := spec
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		head = spec[:i]
-		opts := spec[i+1:]
-		if strings.IndexByte(opts, ':') >= 0 {
-			return ProfileSpec{}, fmt.Errorf("memsim: malformed profile spec %q (only one ':' allowed)", spec)
-		}
-		s.Options = map[string]string{}
-		for _, kv := range strings.Split(opts, ",") {
-			k, v, found := strings.Cut(kv, "=")
-			if !found || k == "" {
-				return ProfileSpec{}, fmt.Errorf("memsim: malformed option %q in profile spec %q (want key=val)", kv, spec)
-			}
-			if _, dup := s.Options[k]; dup {
-				return ProfileSpec{}, fmt.Errorf("memsim: duplicate option %q in profile spec %q", k, spec)
-			}
-			s.Options[k] = v
-		}
-	}
-	if head == "" {
-		return ProfileSpec{}, fmt.Errorf("memsim: empty profile name in spec %q", spec)
-	}
-	s.ID = head
-	return s, nil
-}
-
-// String renders the spec in canonical form: options sorted by key with
-// their raw values.
-func (s ProfileSpec) String() string {
-	var b strings.Builder
-	b.WriteString(s.ID)
-	if len(s.Options) > 0 {
-		keys := make([]string, 0, len(s.Options))
-		for k := range s.Options {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sep := byte(':')
-		for _, k := range keys {
-			b.WriteByte(sep)
-			sep = ','
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(s.Options[k])
-		}
-	}
-	return b.String()
-}
-
-// Build resolves the spec against the profile registry, applies the
-// option overrides and validates the result. The built profile's Spec()
-// is this spec's canonical form.
-func (s ProfileSpec) Build() (*Profile, error) {
-	e, ok := LookupProfile(s.ID)
-	if !ok {
-		return nil, fmt.Errorf("memsim: unknown profile %q (valid: %s)", s.ID, strings.Join(ProfileIDs(), ", "))
-	}
-	p := e.New()
-	for _, k := range sortedKeys(s.Options) {
-		v := s.Options[k]
-		switch k {
-		case "policy":
-			switch v {
-			case "open":
-				p.Policy = OpenPage
-			case "closed":
-				p.Policy = ClosedPage
-			default:
-				return nil, fmt.Errorf("memsim: profile option policy=%q (want open or closed)", v)
-			}
-		case "channels":
+// profileOptions are the overrides every profile spec accepts, each with
+// the setter that applies it to the builtin defaults.
+var profileOptions = []struct {
+	spec.OptionDoc
+	apply func(p *Profile, v string) error
+}{
+	{spec.OptionDoc{Key: "policy", Doc: "open|closed — row-buffer management (closed auto-precharges after every access)"},
+		func(p *Profile, v string) error { return choose(&p.Policy, v, OpenPage, ClosedPage) }},
+	{spec.OptionDoc{Key: "channels", Doc: "1..16 — independent channels; cache lines interleave across channels x subchannels"},
+		func(p *Profile, v string) error {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 || n > 16 {
-				return nil, fmt.Errorf("memsim: profile option channels=%q (want 1..16)", v)
+				return errors.New("want 1..16")
 			}
 			p.Channels = n
-		case "refresh":
-			switch v {
-			case "all-bank":
-				p.Refresh = RefreshAllBank
-			case "same-bank":
-				p.Refresh = RefreshSameBank
-			default:
-				return nil, fmt.Errorf("memsim: profile option refresh=%q (want all-bank or same-bank)", v)
+			return nil
+		}},
+	{spec.OptionDoc{Key: "refresh", Doc: "all-bank|same-bank — REFab blackout vs staggered per-bank REFsb windows"},
+		func(p *Profile, v string) error { return choose(&p.Refresh, v, RefreshAllBank, RefreshSameBank) }},
+}
+
+// profileOptionDocs documents profileOptions for the registry.
+var profileOptionDocs = func() []spec.OptionDoc {
+	docs := make([]spec.OptionDoc, len(profileOptions))
+	for i, o := range profileOptions {
+		docs[i] = o.OptionDoc
+	}
+	return docs
+}()
+
+// choose sets *dst to the choice named v.
+func choose[T fmt.Stringer](dst *T, v string, choices ...T) error {
+	names := make([]string, len(choices))
+	for i, c := range choices {
+		if c.String() == v {
+			*dst = c
+			return nil
+		}
+		names[i] = c.String()
+	}
+	return fmt.Errorf("want %s", strings.Join(names, " or "))
+}
+
+// ParseProfileSpec parses a profile spec. It only validates the syntax;
+// NewProfile resolves the ID and options against the registry.
+func ParseProfileSpec(s string) (spec.Spec, error) { return profiles.Parse(s) }
+
+// NewProfile parses a spec string, applies the option overrides to the
+// registered defaults and validates the result. Errors enumerate the
+// valid profile IDs or option keys. The profile's Spec() is the spec's
+// canonical form.
+func NewProfile(s string) (*Profile, error) {
+	ps, err := ParseProfileSpec(s)
+	if err != nil {
+		return nil, err
+	}
+	e, err := profiles.Resolve(ps)
+	if err != nil {
+		return nil, err
+	}
+	p := e.New()
+	for _, o := range profileOptions {
+		if v, ok := ps.Options[o.Key]; ok {
+			if err := o.apply(&p, v); err != nil {
+				return nil, fmt.Errorf("memsim: profile option %s=%q (%v)", o.Key, v, err)
 			}
-		default:
-			return nil, fmt.Errorf("memsim: unknown profile option %q (valid: channels, policy, refresh)", k)
 		}
 	}
-	p.spec = s.String()
+	p.spec = ps.String()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return &p, nil
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// NewProfile parses a spec string and builds the profile it describes.
-// Errors enumerate the valid profile IDs or option keys.
-func NewProfile(spec string) (*Profile, error) {
-	s, err := ParseProfileSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.Build()
 }
 
 // MustProfile is NewProfile, panicking on error; for specs known at

@@ -8,6 +8,7 @@ import (
 	"pair/internal/core"
 	"pair/internal/dram"
 	"pair/internal/ecc"
+	"pair/internal/spec"
 )
 
 // init registers the built-in organizations, the study's scheme family
@@ -37,7 +38,7 @@ func noOpts(build func(org dram.Organization) ecc.Scheme) func(dram.Organization
 }
 
 // pairOptions documents the option keys both PAIR entries accept.
-var pairOptions = []OptionDoc{
+var pairOptions = []spec.OptionDoc{
 	{Key: "base", Doc: "base parity symbols (default 2)"},
 	{Key: "exp", Doc: "expansion symbols stored in spare columns (pair: 2, pair-base: 0)"},
 	{Key: "lat", Doc: "in-die decode latency in ns (default 2.0)"},
@@ -153,7 +154,7 @@ func registerSchemes() {
 		Corrects: "1 sym", BusChange: "BL8->BL9",
 		// The forwarded-redundancy region holds two byte symbols per
 		// access, which needs a 16-pin extension beat: x16 devices only.
-		Orgs: []string{"ddr4x16", "ddr5x16"},
+		Orgs:       []string{"ddr4x16", "ddr5x16"},
 		DefaultOrg: "ddr4x16",
 		New:        noOpts(func(org dram.Organization) ecc.Scheme { return ecc.NewDUO(org) }),
 	})

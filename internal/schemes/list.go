@@ -72,15 +72,7 @@ func ListText() string {
 	}
 
 	b.WriteString("\noptions\n")
-	for _, e := range All() {
-		if len(e.Options) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %s:\n", e.ID)
-		for _, o := range e.Options {
-			fmt.Fprintf(&b, "    %-8s %s\n", o.Key, o.Doc)
-		}
-	}
+	registry.WriteOptions(&b)
 
 	b.WriteString("\norganizations\n")
 	for _, o := range Orgs() {

@@ -2,9 +2,9 @@ package schemes
 
 import (
 	"fmt"
-	"strings"
 
 	"pair/internal/dram"
+	"pair/internal/spec"
 )
 
 // OrgEntry is one registered DRAM organization a spec can name.
@@ -14,48 +14,28 @@ type OrgEntry struct {
 	Org         dram.Organization
 }
 
-var (
-	orgRegistry = map[string]*OrgEntry{}
-	orgOrder    []string
-)
+var orgRegistry = spec.Registry[*OrgEntry]{Pkg: "schemes", Kind: "organization"}
 
 // RegisterOrg adds an organization to the registry; like Register it
 // panics on duplicates since it runs from init functions.
 func RegisterOrg(e OrgEntry) {
-	if e.ID == "" {
-		panic("schemes: organization needs an ID")
-	}
-	if _, dup := orgRegistry[e.ID]; dup {
-		panic(fmt.Sprintf("schemes: duplicate organization %q", e.ID))
-	}
 	if err := e.Org.Validate(); err != nil {
 		panic(fmt.Sprintf("schemes: organization %q: %v", e.ID, err))
 	}
-	cp := e
-	orgRegistry[e.ID] = &cp
-	orgOrder = append(orgOrder, e.ID)
+	orgRegistry.Register(e.ID, nil, &e)
 }
 
 // OrgByID resolves a registered organization ID.
 func OrgByID(id string) (dram.Organization, error) {
-	e, ok := orgRegistry[id]
-	if !ok {
-		return dram.Organization{}, fmt.Errorf("schemes: unknown organization %q (valid: %s)",
-			id, strings.Join(OrgIDs(), "|"))
+	e, err := orgRegistry.Get(id)
+	if err != nil {
+		return dram.Organization{}, err
 	}
 	return e.Org, nil
 }
 
 // OrgIDs returns every registered organization ID in registration order.
-func OrgIDs() []string {
-	return append([]string(nil), orgOrder...)
-}
+func OrgIDs() []string { return orgRegistry.IDs() }
 
 // Orgs returns every registered organization entry in registration order.
-func Orgs() []*OrgEntry {
-	out := make([]*OrgEntry, len(orgOrder))
-	for i, id := range orgOrder {
-		out[i] = orgRegistry[id]
-	}
-	return out
-}
+func Orgs() []*OrgEntry { return orgRegistry.All() }

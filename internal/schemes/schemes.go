@@ -8,7 +8,8 @@
 //
 // # Spec grammar
 //
-// A scheme spec is a one-line description of a scheme instance:
+// A scheme spec is a one-line description of a scheme instance in the
+// shared grammar of package spec, without compose:
 //
 //	name[@org][:key=val,...]
 //
@@ -34,18 +35,12 @@ package schemes
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"pair/internal/dram"
 	"pair/internal/ecc"
+	"pair/internal/spec"
 )
-
-// OptionDoc documents one option key a scheme's constructor hook accepts.
-type OptionDoc struct {
-	Key string
-	Doc string
-}
 
 // Entry is one registered scheme: identity, presentation metadata, the
 // organizations it can be built on and the constructor hook.
@@ -74,51 +69,25 @@ type Entry struct {
 
 	// Options documents the option keys the hook accepts; specs using any
 	// other key are rejected before the hook runs.
-	Options []OptionDoc
+	Options []spec.OptionDoc
 
 	// New builds the scheme on an organization resolved from Orgs with
 	// the spec's validated options.
 	New func(org dram.Organization, opts map[string]string) (ecc.Scheme, error)
 }
 
-// supportsOrg reports whether the entry lists the organization ID.
-func (e *Entry) supportsOrg(id string) bool {
-	for _, o := range e.Orgs {
-		if o == id {
-			return true
-		}
-	}
-	return false
-}
-
-// optionKeys returns the documented option keys.
-func (e *Entry) optionKeys() []string {
-	keys := make([]string, len(e.Options))
-	for i, o := range e.Options {
-		keys[i] = o.Key
-	}
-	return keys
-}
-
-var (
-	registry = map[string]*Entry{}
-	order    []string // registration (presentation) order
-)
+// registry holds the schemes; scheme specs may name an organization but
+// never compose.
+var registry = spec.Registry[*Entry]{Pkg: "schemes", Kind: "scheme", Org: true}
 
 // Register adds a scheme to the registry. It panics on a duplicate or
 // malformed entry — registration happens in init functions, where a
 // panic is a build-time error.
 func Register(e Entry) {
-	if e.ID == "" || e.New == nil {
-		panic("schemes: entry needs an ID and a constructor")
+	if e.New == nil {
+		panic(fmt.Sprintf("schemes: scheme %q needs a constructor", e.ID))
 	}
-	if _, dup := registry[e.ID]; dup {
-		panic(fmt.Sprintf("schemes: duplicate scheme %q", e.ID))
-	}
-	if len(e.Orgs) == 0 || e.DefaultOrg == "" {
-		panic(fmt.Sprintf("schemes: scheme %q needs supported organizations and a default", e.ID))
-	}
-	if !e.supportsOrg(e.DefaultOrg) {
+	if !slices.Contains(e.Orgs, e.DefaultOrg) {
 		panic(fmt.Sprintf("schemes: scheme %q default org %q not in supported set", e.ID, e.DefaultOrg))
 	}
 	for _, id := range e.Orgs {
@@ -126,64 +95,17 @@ func Register(e Entry) {
 			panic(fmt.Sprintf("schemes: scheme %q: %v", e.ID, err))
 		}
 	}
-	cp := e
-	registry[e.ID] = &cp
-	order = append(order, e.ID)
+	registry.Register(e.ID, e.Options, &e)
 }
 
 // Lookup returns the entry registered under id.
-func Lookup(id string) (*Entry, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
+func Lookup(id string) (*Entry, bool) { return registry.Lookup(id) }
 
 // IDs returns every registered scheme ID in registration order.
-func IDs() []string {
-	return append([]string(nil), order...)
-}
+func IDs() []string { return registry.IDs() }
 
 // All returns every registered entry in registration order.
-func All() []*Entry {
-	out := make([]*Entry, len(order))
-	for i, id := range order {
-		out[i] = registry[id]
-	}
-	return out
-}
-
-// unknownSchemeError builds the error for an unregistered scheme ID; the
-// valid-ID list is generated from the registry so it can never drift.
-func unknownSchemeError(id string) error {
-	return fmt.Errorf("schemes: unknown scheme %q (valid: %s)", id, strings.Join(IDs(), "|"))
-}
-
-// validateOptions checks that every option key of a spec is documented by
-// the entry.
-func validateOptions(e *Entry, opts map[string]string) error {
-	if len(opts) == 0 {
-		return nil
-	}
-	keys := e.optionKeys()
-	allowed := map[string]bool{}
-	for _, k := range keys {
-		allowed[k] = true
-	}
-	var bad []string
-	for k := range opts {
-		if !allowed[k] {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	if len(keys) == 0 {
-		return fmt.Errorf("schemes: scheme %q takes no options, got %s", e.ID, strings.Join(bad, ","))
-	}
-	return fmt.Errorf("schemes: scheme %q does not accept option(s) %s (valid: %s)",
-		e.ID, strings.Join(bad, ","), strings.Join(keys, "|"))
-}
+func All() []*Entry { return registry.All() }
 
 // CampaignID is the campaign/checkpoint identity of a scheme instance:
 // the label component that salts every Monte-Carlo seed stream and names

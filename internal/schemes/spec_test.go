@@ -126,29 +126,39 @@ func TestSpecVariants(t *testing.T) {
 }
 
 func TestParseSpecList(t *testing.T) {
-	got, err := ParseSpecList("pair@ddr5x16,pair:spare=3.7,chip=1,iecc")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		list  string
+		names []string // Name() of each built scheme
+	}{
+		{"pair@ddr5x16,pair:spare=3.7,chip=1,iecc", []string{"pair", "pair-spared", "iecc"}},
+		{"pair:spare=3.7 duo", []string{"pair-spared", "duo"}}, // whitespace separates too
+		{"pair:exp=4,pair:spare=3.7", []string{"pair", "pair-spared"}},
+		{"pair@ddr5x16,pair:spare=3.7", []string{"pair", "pair-spared"}},
+		{"pair:exp=4,lat=2.5", []string{"pair"}},
 	}
-	if len(got) != 3 {
-		names := []string{}
+	for _, c := range cases {
+		got, err := ParseSpecList(c.list)
+		if err != nil {
+			t.Fatalf("ParseSpecList(%q): %v", c.list, err)
+		}
+		var names []string
 		for _, s := range got {
 			names = append(names, s.Name())
 		}
-		t.Fatalf("ParseSpecList split into %v", names)
-	}
-	if got[0].Org().BurstLen != 16 || got[1].Name() != "pair-spared" || got[2].Name() != "iecc" {
-		t.Fatalf("ParseSpecList built %s/%s/%s", got[0].Name(), got[1].Name(), got[2].Name())
-	}
-
-	// Whitespace separation also works.
-	got, err = ParseSpecList("pair:spare=3.7 duo")
-	if err != nil || len(got) != 2 || got[1].Name() != "duo" {
-		t.Fatalf("whitespace list: %v (%d schemes)", err, len(got))
+		if strings.Join(names, " ") != strings.Join(c.names, " ") {
+			t.Fatalf("ParseSpecList(%q) built %v, want %v", c.list, names, c.names)
+		}
 	}
 
-	if _, err := ParseSpecList("pair,quantum"); err == nil {
-		t.Fatal("bad list accepted")
+	got, err := ParseSpecList("pair@ddr5x16,pair:exp=4,pair:spare=3.7")
+	if err != nil || got[0].Org().BurstLen != 16 || got[1].(*core.Scheme).T() != 3 {
+		t.Fatalf("list entries lost their organization or options: %v", err)
+	}
+
+	for _, bad := range []string{"pair,quantum", "compose(pair,duo)", "pair:exp=4:lat=2"} {
+		if _, err := ParseSpecList(bad); err == nil {
+			t.Fatalf("bad list %q accepted", bad)
+		}
 	}
 }
 

@@ -16,6 +16,9 @@
 package pair
 
 import (
+	"flag"
+	"io"
+
 	"pair/internal/core"
 	"pair/internal/dram"
 	"pair/internal/ecc"
@@ -132,12 +135,6 @@ func SchemeBySpec(spec string) (Scheme, error) {
 	return schemes.New(spec)
 }
 
-// SchemeSpecHelp returns the full scheme/organization/set listing the
-// cmd binaries print for -list-schemes.
-func SchemeSpecHelp() string {
-	return schemes.ListText()
-}
-
 // FaultScenario is a registered field-fault scenario — a seeded,
 // composable per-trial corruption model from the fault-scenario registry
 // (internal/faults).
@@ -151,12 +148,6 @@ type FaultScenario = faults.Scenario
 // "compose(pin,inherent:ber=1e-5)" (a pin fault over ambient weak cells).
 func ScenarioBySpec(spec string) (FaultScenario, error) {
 	return faults.NewScenario(spec)
-}
-
-// FaultSpecHelp returns the full fault-scenario listing the cmd binaries
-// print for -list-faults.
-func FaultSpecHelp() string {
-	return faults.ListFaultsText()
 }
 
 // MemoryProfile is a registered memory-generation profile — timing table,
@@ -173,8 +164,26 @@ func ProfileBySpec(spec string) (*MemoryProfile, error) {
 	return memsim.NewProfile(spec)
 }
 
-// ProfileSpecHelp returns the full memory-profile listing the cmd
-// binaries print for -list-profiles.
-func ProfileSpecHelp() string {
-	return memsim.ListProfilesText()
+// ListFlags registers -list-schemes, -list-faults and -list-profiles on
+// fs, the registry listings every cmd binary offers. After fs.Parse the
+// returned function prints the first requested listing to w and reports
+// whether it printed one; the binary then exits 0.
+func ListFlags(fs *flag.FlagSet) func(w io.Writer) bool {
+	lists := []struct {
+		set  *bool
+		text func() string
+	}{
+		{fs.Bool("list-schemes", false, "list registered schemes, spec grammar, organizations and sets, then exit"), schemes.ListText},
+		{fs.Bool("list-faults", false, "list registered fault scenarios, the spec grammar and options, then exit"), faults.ListFaultsText},
+		{fs.Bool("list-profiles", false, "list registered memory profiles, the spec grammar and options, then exit"), memsim.ListProfilesText},
+	}
+	return func(w io.Writer) bool {
+		for _, l := range lists {
+			if *l.set {
+				io.WriteString(w, l.text())
+				return true
+			}
+		}
+		return false
+	}
 }
